@@ -15,6 +15,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.taint.tarray import arrays_equal
+
 __all__ = ["Outcome", "TrialRecord", "classify_outcome", "outputs_identical"]
 
 #: An application's final output: named scalars / arrays from rank 0.
@@ -43,7 +45,7 @@ def outputs_identical(output: AppOutput, reference: AppOutput) -> bool:
         return False
     for key, ref in reference.items():
         got = np.asarray(output[key], dtype=np.float64)
-        if not np.array_equal(got, np.asarray(ref, dtype=np.float64), equal_nan=True):
+        if not arrays_equal(got, np.asarray(ref, dtype=np.float64)):
             return False
     return True
 

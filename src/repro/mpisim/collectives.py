@@ -9,10 +9,13 @@ clean result — and therefore, per the value-based contamination model,
 does *not* contaminate the receiving ranks.
 
 Lane-batched payloads (:mod:`repro.taint.laneops`) reduce the same way
-per lane: the per-rank lane stacks are stacked along a new leading rank
-axis and reduced over it, so every lane sees exactly the association
-order its scalar trial would have used (the lane axis rides along at
-position 1 and does not participate in the reduction).
+per lane: the per-rank lane stacks are stacked along a new rank axis at
+position 1 and reduced over it.  Each lane's ``(P,) + shape`` slab then
+has the golden stack's own memory layout, so numpy reduces it in the
+same association order — pairwise along a contiguous rank axis from
+P = 8 up — and every lane gets exactly the bits its scalar trial would
+have.  (A leading rank axis would not do: the lane stack would then be
+summed rank by rank in sequence while the golden sums pairwise.)
 """
 
 from __future__ import annotations
@@ -26,12 +29,7 @@ from repro.taint.tarray import TArray
 
 __all__ = ["reduce_payloads", "payload_diverged", "payload_lane_divergence"]
 
-_NUMPY_REDUCERS = {
-    "sum": lambda stack: np.sum(stack, axis=0),
-    "prod": lambda stack: np.prod(stack, axis=0),
-    "max": lambda stack: np.max(stack, axis=0),
-    "min": lambda stack: np.min(stack, axis=0),
-}
+_NUMPY_REDUCERS = {"sum": np.sum, "prod": np.prod, "max": np.max, "min": np.min}
 
 _PYTHON_REDUCERS = {
     "sum": sum,
@@ -51,7 +49,7 @@ def reduce_payloads(payloads: Sequence[Any], op: str) -> Any:
         raise CommunicatorError("cannot reduce an empty payload list")
     if all(isinstance(p, TArray) for p in payloads):
         reducer = _NUMPY_REDUCERS[op]
-        golden = reducer(np.stack([p.golden for p in payloads]))
+        golden = reducer(np.stack([p.golden for p in payloads]), axis=0)
         lane_sets = [p.lanes for p in payloads if p.lanes is not None]
         if lane_sets:
             ls0 = lane_sets[0]
@@ -60,7 +58,7 @@ def reduce_payloads(payloads: Sequence[Any], op: str) -> Any:
                 p.lanes.fstack if p.lanes is not None
                 else np.broadcast_to(p.faulty, (k,) + p.faulty.shape)
                 for p in payloads
-            ]))
+            ], axis=1), axis=1)
             gstack = None
             if any(ls.gstack is not None for ls in lane_sets):
                 gstack = reducer(np.stack([
@@ -68,11 +66,11 @@ def reduce_payloads(payloads: Sequence[Any], op: str) -> Any:
                     if p.lanes is not None and p.lanes.gstack is not None
                     else np.broadcast_to(p.golden, (k,) + p.golden.shape)
                     for p in payloads
-                ]))
+                ], axis=1), axis=1)
             return TArray.batched(golden, fstack, gstack, ls0.tracer)
         if not any(p.diverged for p in payloads):
             return TArray(golden)
-        faulty = reducer(np.stack([p.faulty for p in payloads]))
+        faulty = reducer(np.stack([p.faulty for p in payloads]), axis=0)
         return TArray(golden, faulty)
     if any(isinstance(p, TArray) for p in payloads):
         raise CommunicatorError("reduction payloads mix TArray and plain values")

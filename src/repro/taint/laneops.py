@@ -208,7 +208,11 @@ class LaneFPOps(FPOps):
         per_lane = _by_lane(injections)
         if per_lane:
             # flat (k, size) view of the stack: row views stay writable
-            # even for scalar-shaped outputs
+            # even for scalar-shaped outputs.  The ufunc lays its output
+            # out like its inputs, and a stack built by concatenating a
+            # broadcast row is not lane-major — reshape would then copy
+            # and the flips below would be written into the copy.
+            fstack = np.ascontiguousarray(fstack)
             fmat = fstack.reshape(k, -1)
         for lane, lane_injs in sorted(per_lane.items()):
             fa_lane = np.asarray(lsa.fstack[lane]) if lsa is not None else ta.faulty

@@ -654,10 +654,13 @@ class FPOps:
         diverged = ta.diverged or tb.diverged
         if not diverged and not injections:
             return TArray(g)
-        f = ufunc(ta.faulty, tb.faulty) if diverged else g.copy()
         if injections:
             on_flip = self._flip_reporter(kind)
-            f = np.array(f, copy=True)  # ensure writable, drop any sharing
+            # one writable copy: of the faulty result, or of the golden
+            # one when the inputs are clean
+            f = np.array(
+                ufunc(ta.faulty, tb.faulty) if diverged else g, copy=True
+            )
             f_flat = f.reshape(-1)
             out_shape = g.shape
             for lane, operand, bits, index in _group_injections(injections):
@@ -675,6 +678,8 @@ class FPOps:
                     f_flat[lane] = post
                 if on_flip is not None:
                     on_flip(index, operand, bits, pre, post)
+        else:
+            f = ufunc(ta.faulty, tb.faulty)
         out = TArray(g, f)
         if out.diverged:
             self._sink.mark_contaminated(self.rank)

@@ -51,10 +51,26 @@ def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
     NaNs compare equal to NaNs (a flipped NaN payload is still "no
     visible corruption" for downstream consumers), and ``-0.0`` equals
     ``+0.0`` — matching how corrupted values behave arithmetically.
+
+    Same answers as ``np.array_equal(a, b, equal_nan=True)`` in one
+    ``!=`` sweep for the common cases.  ``!=`` already equates ``-0.0``
+    and ``+0.0``; it only errs on NaN pairs, which it flags.  So no flag
+    means equal, and a first flag that is not a NaN pair is a genuine
+    difference.  Only a NaN pair at the first flag pays the full
+    NaN-aware compare.
     """
     if a is b:
         return True
     if a.shape != b.shape:
+        return False
+    if not a.size:
+        return True  # argmax of an empty sweep raises
+    ne = a != b
+    i = ne.argmax()  # first flagged element; 0 when none is flagged
+    if not ne.flat[i]:
+        return True
+    x, y = a.flat[i], b.flat[i]
+    if x == x or y == y:  # not a NaN in both arrays
         return False
     return bool(np.array_equal(a, b, equal_nan=True))
 

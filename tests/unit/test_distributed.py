@@ -585,6 +585,23 @@ class TestDistributedParity:
 # ------------------------------------------------------------------ chaos
 
 
+class _OnFirst:
+    """Event sink that runs ``action`` once, on the first ``cls`` event."""
+
+    def __init__(self, cls, action):
+        self.cls = cls
+        self.action = action
+        self.fired = False
+
+    def write(self, event) -> None:
+        if not self.fired and isinstance(event, self.cls):
+            self.fired = True
+            self.action()
+
+    def close(self) -> None:
+        return None
+
+
 class TestDistributedChaos:
     def test_worker_death_mid_campaign_completes_identically(self, pool):
         deployment = Deployment(nprocs=1, trials=40, seed=2)
@@ -592,9 +609,12 @@ class TestDistributedChaos:
             DotApp(), deployment, keep_records=True, backend="inline"
         )
         pool.spawn("quit-after", "2", str(pool.port_file))
-        pool.workers(1)
         mem = obs.MemorySink()
-        with obs.recording(obs.Recorder([mem])):
+        # The healthy worker starts only once the quitting one is lost.
+        # Started up front, it could drain every chunk before the
+        # quitting worker had shipped its two, and no loss would happen.
+        heal = _OnFirst(obs.WorkerLost, lambda: pool.workers(1))
+        with obs.recording(obs.Recorder([mem, heal])):
             dist = run_campaign(
                 DotApp(), deployment, keep_records=True, backend=DIST
             )

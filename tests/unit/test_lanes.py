@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro.fi.lanes as lanes_mod
-from repro import obs
+from repro import get_app, obs
 from repro.fi.cache import deployment_key
 from repro.fi.campaign import (
     Deployment,
@@ -24,8 +24,14 @@ from repro.fi.campaign import (
     default_lanes,
     run_campaign,
 )
+from repro.fi.lanes import BatchTracer
+from repro.fi.plan import InjectionPlan, PlannedFlip
+from repro.mpisim.collectives import reduce_payloads
 from repro.obs import provenance_path
+from repro.taint.laneops import LaneFPOps
+from repro.taint.region import Region
 from repro.taint.tarray import TArray
+from repro.taint.tracer_api import Operand
 
 
 class LaneApp:
@@ -144,6 +150,91 @@ class TestScalarParity:
         base = run_campaign(app, dep, keep_records=True, jobs=1, lanes=1)
         got = run_campaign(app, dep, keep_records=True, jobs=1, lanes=4)
         assert got.records == base.records
+
+
+class TestScalarParityOnRealApps:
+    """The parity contract on the shipped apps, past the toy LaneApp.
+
+    ``nprocs=8`` is the smallest rank count at which numpy sums an
+    allreduce's rank axis pairwise rather than in sequence.
+    """
+
+    @pytest.mark.parametrize("name", ["cg", "minife"])
+    def test_nprocs8_lanes32_records_match_scalar(self, name):
+        dep = Deployment(nprocs=8, trials=64, seed=1)
+        base = run_campaign(get_app(name), dep, keep_records=True, jobs=1,
+                            lanes=1)
+        got = run_campaign(get_app(name), dep, keep_records=True, jobs=1,
+                           lanes=32)
+        assert got.records == base.records
+        assert list(got.joint) == list(base.joint)
+
+    def test_mg_lane_flips_reach_every_rank_like_scalar(self):
+        """Trials 96 and 118 inject into a halo sum whose lane stack is
+        not lane-major; at lanes=32 the flips used to be lost, leaving
+        one contaminated rank where the scalar path reports four."""
+        dep = Deployment(nprocs=4, trials=128, seed=1)
+        base = run_campaign(get_app("mg"), dep, keep_records=True, jobs=1,
+                            lanes=1)
+        got = run_campaign(get_app("mg"), dep, keep_records=True, jobs=1,
+                           lanes=32)
+        assert [got.records[t].n_contaminated for t in (96, 118)] == [4, 4]
+        assert got.records == base.records
+
+
+class TestLaneBitParity:
+    """Op-level checks of the invariants the campaign tests rely on."""
+
+    def test_flip_lands_in_a_stack_that_is_not_lane_major(self):
+        flip = PlannedFlip(0, Region.COMMON, 5, Operand.OUT, 62)
+        batch = BatchTracer([InjectionPlan((flip,)), InjectionPlan(())])
+        fp = LaneFPOps(batch, 0, batch)
+        g = np.arange(1.0, 9.0).reshape(2, 4)
+        f = np.stack([g, g])
+        f[1, 0, 0] = -1.0  # lane 1 diverged, so the input carries lanes
+        # rows interleaved in memory (axis 1 outermost), as a
+        # concatenate of a broadcast row and a lane stack lays them out
+        interleaved = np.ascontiguousarray(f.transpose(1, 0, 2)).transpose(1, 0, 2)
+        x = TArray.batched(g, interleaved, tracer=batch)
+        out = fp.add(x, x)
+        assert out.lanes.div.tolist() == [True, True]
+        assert out.lanes.fstack[0].flat[5] != out.golden.flat[5]
+        assert batch.contaminated_ranks(0) == {0}
+
+    @pytest.mark.parametrize("nprocs", [8, 16, 64])
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_allreduce_rounds_each_lane_like_its_scalar_trial(
+        self, nprocs, shape
+    ):
+        rng = np.random.default_rng(nprocs + 100 * len(shape))
+        k = 4
+        for _ in range(20):
+            goldens, stacks = [], []
+            for _ in range(nprocs):
+                g = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5)
+                f = np.repeat(g[np.newaxis], k, axis=0)
+                # lane 0 stays clean everywhere; the others each diverge
+                # on a random subset of ranks
+                for lane in range(1, k):
+                    if rng.random() < 0.3:
+                        f[lane] = g * (1.0 + rng.standard_normal(shape))
+                goldens.append(g)
+                stacks.append(f)
+            payloads = [
+                TArray.batched(g, f) for g, f in zip(goldens, stacks)
+            ]
+            out = reduce_payloads(payloads, "sum")
+            for lane in range(k):
+                scalar = reduce_payloads(
+                    [TArray(g, f[lane]) for g, f in zip(goldens, stacks)],
+                    "sum",
+                )
+                row = (
+                    out.faulty if out.lanes is None else out.lanes.fstack[lane]
+                )
+                assert row.tobytes() == scalar.faulty.tobytes()
+                lane_div = False if out.lanes is None else out.lanes.div[lane]
+                assert lane_div == scalar.diverged
 
 
 class TestInterruptResume:
