@@ -37,8 +37,8 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.engine.aggregate import ChunkAggregator
-from repro.engine.backends import canonical_backend, planning_jobs
-from repro.engine.checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointStore
+from repro.engine.backends import planning_jobs
+from repro.engine.checkpoint import CheckpointStore
 from repro.engine.chunks import ChunkPayload, EngineContext, plan_chunks
 from repro.engine.core import select_backend, write_checkpoint
 from repro.fi.outcomes import Outcome, TrialRecord
@@ -53,6 +53,7 @@ from repro.obs.trace import make_span
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
+    from repro.fi.knobs import Execution
     from repro.fi.profile import InstructionProfile
 
 __all__ = [
@@ -215,14 +216,10 @@ def run_adaptive_trials(
     deployment: "Deployment",
     profile: "InstructionProfile",
     reference: dict,
+    execution: "Execution",
     *,
     target: float,
     keep_records: bool = False,
-    jobs: int = 1,
-    lanes: int = 1,
-    checkpoint_every: int | None = None,
-    resume: bool = False,
-    backend: str | None = None,
 ) -> tuple[dict[tuple[Outcome, int, bool], int], list[TrialRecord]]:
     """Run a deployment adaptively; returns the merged ``(joint, records)``.
 
@@ -240,21 +237,17 @@ def run_adaptive_trials(
     :class:`~repro.obs.CampaignConverged` event per campaign.
     """
     obs = get_recorder()
-    backend = canonical_backend(backend)
-    plan_jobs = planning_jobs(backend, jobs)
+    plan_jobs = planning_jobs(execution.backend, execution.jobs)
     cap = deployment.trials
-    checkpointing = checkpoint_every is not None or resume
-    interval = (
-        checkpoint_every if checkpoint_every is not None
-        else DEFAULT_CHECKPOINT_EVERY
-    )
+    interval = execution.checkpoint_every
+    checkpointing = interval is not None
 
     store: CheckpointStore | None = None
     pinned: list[tuple[int, int]] = []
     recovered: dict[tuple[int, int], ChunkPayload] = {}
     if checkpointing:
         store = CheckpointStore(app, deployment, keep_records)
-        if resume:
+        if execution.resume:
             loaded = store.load()
             if loaded is not None:
                 pinned, payloads = loaded
@@ -273,7 +266,7 @@ def run_adaptive_trials(
         # full traces
         obs_enabled=obs.enabled or checkpointing,
         profiling=obs.enabled and obs.profiling,
-        lanes=lanes,
+        lanes=execution.lanes,
         tracing=obs.enabled and obs.tracing,
         trace_ctx=obs.trace_ctx,
     )
@@ -316,10 +309,7 @@ def run_adaptive_trials(
         if boundary > planned_hi:
             # extend the pinned layout: fresh trials chunked per worker,
             # durable progress at least every `interval` trials
-            fresh = plan_chunks(
-                boundary - planned_hi, plan_jobs,
-                interval if checkpointing else None,
-            )
+            fresh = plan_chunks(boundary - planned_hi, plan_jobs, interval)
             pinned.extend(
                 (lo + planned_hi, hi + planned_hi) for lo, hi in fresh
             )
@@ -339,7 +329,8 @@ def run_adaptive_trials(
                 missing.append(bounds)
         if missing:
             executor = select_backend(
-                jobs, len(missing), capture=checkpointing, backend=backend
+                execution.jobs, len(missing), capture=checkpointing,
+                backend=execution.backend,
             )
             for payload in executor.run(wave_ctx, missing):
                 if store is not None:

@@ -98,10 +98,11 @@ class EngineContext:
     #: hot-path profiling (repro.obs.profiler) — carried to workers so a
     #: chunk's recorder attributes op time exactly like the parent's.
     profiling: bool = False
-    #: trials batched per lane-vectorized pass (repro.fi.lanes).  Chunk
-    #: planning ignores this — lane blocks subdivide chunks at execution
-    #: time, so chunk layout (and thus checkpoint identity) is
-    #: lanes-invariant.
+    #: trials batched per lane-vectorized pass (repro.fi.lanes), already
+    #: the effective count (1 under profiling or for a scenario without
+    #: lane support; see run_campaign).  Chunk planning ignores this —
+    #: lane blocks subdivide chunks at execution time, so chunk layout
+    #: (and thus checkpoint identity) is lanes-invariant.
     lanes: int = 1
     #: causal tracing (repro.obs.trace) — carried to workers so a
     #: chunk's recorder collects spans exactly like the parent's.
@@ -159,18 +160,6 @@ def execute_chunk(
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
 
-    # Profiling runs must meter per-trial op counts/time, which a shared
-    # batched pass cannot attribute — profiling forces the scalar path.
-    effective_lanes = 1 if ctx.profiling else max(1, ctx.lanes)
-    if effective_lanes > 1:
-        from repro.fi.scenarios import resolve_model  # circular at import
-
-        # lane batching replays bit-flip trial semantics only; other
-        # scenario families fall back to the scalar path (run_campaign
-        # already warned once)
-        if not resolve_model(ctx.deployment.scenario).supports_lanes:
-            effective_lanes = 1
-
     mem: MemorySink | None = None
     if not capture:
         rec = get_recorder()
@@ -199,7 +188,7 @@ def execute_chunk(
     with recording(rec):
         trial = start
         while trial < stop:
-            block_stop = min(stop, trial + effective_lanes)
+            block_stop = min(stop, trial + ctx.lanes)
             if block_stop - trial == 1:
                 block_records = [run_one_trial(
                     ctx.app, ctx.deployment, ctx.profile, ctx.reference,

@@ -32,7 +32,7 @@ from repro.engine.backends import (
     canonical_backend,
     planning_jobs,
 )
-from repro.engine.checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointStore
+from repro.engine.checkpoint import CheckpointStore
 from repro.engine.distributed import DistributedBackend
 from repro.engine.chunks import ChunkPayload, EngineContext, plan_chunks
 from repro.fi.outcomes import Outcome, TrialRecord
@@ -41,6 +41,7 @@ from repro.obs.trace import make_span, tracing_active
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
+    from repro.fi.knobs import Execution
     from repro.fi.profile import InstructionProfile
 
 __all__ = ["run_trials", "select_backend", "write_checkpoint"]
@@ -110,51 +111,43 @@ def run_trials(
     deployment: "Deployment",
     profile: "InstructionProfile",
     reference: dict,
+    execution: "Execution",
     *,
     keep_records: bool = False,
-    jobs: int = 1,
-    lanes: int = 1,
-    checkpoint_every: int | None = None,
-    resume: bool = False,
-    backend: str | None = None,
 ) -> tuple[dict[tuple[Outcome, int, bool], int], list[TrialRecord]]:
     """Execute a deployment's trials; returns the merged ``(joint, records)``.
 
-    Bit-identical to the classic serial loop for any ``jobs``, any
-    ``lanes`` (trials batched per lane-vectorized execution pass —
-    chunk layout stays lanes-invariant), any ``backend`` spec (inline /
-    process / distributed), any ``checkpoint_every``, and
-    any interruption-and-resume pattern in between.  ``checkpoint_every=N`` persists completed chunks of at
+    Bit-identical to the classic serial loop for any ``execution``: any
+    ``jobs``, any ``lanes`` (trials batched per lane-vectorized
+    execution pass — chunk layout stays lanes-invariant), any
+    ``backend`` spec (inline / process / distributed), any
+    ``checkpoint_every``, and any interruption-and-resume pattern in
+    between.  ``checkpoint_every=N`` persists completed chunks of at
     most N trials as they finish; ``resume=True`` first recovers every
     chunk a previous (interrupted) process persisted and re-runs only
-    the missing ones.  ``resume`` alone implies checkpointing at
-    :data:`~repro.engine.checkpoint.DEFAULT_CHECKPOINT_EVERY`.
+    the missing ones.  ``execution`` arrives resolved
+    (:func:`repro.fi.knobs.resolve`): the backend spec canonical, and
+    the lane count and checkpoint interval already the effective ones.
     """
     obs = get_recorder()
-    backend = canonical_backend(backend)
-    plan_jobs = planning_jobs(backend, jobs)
+    plan_jobs = planning_jobs(execution.backend, execution.jobs)
     trials = deployment.trials
-    checkpointing = checkpoint_every is not None or resume
-    interval = (
-        checkpoint_every if checkpoint_every is not None
-        else DEFAULT_CHECKPOINT_EVERY
-    )
+    interval = execution.checkpoint_every
+    checkpointing = interval is not None
 
     store: CheckpointStore | None = None
     chunks: list[tuple[int, int]] | None = None
     recovered: list[ChunkPayload] = []
     if checkpointing:
         store = CheckpointStore(app, deployment, keep_records)
-        if resume:
+        if execution.resume:
             loaded = store.load()
             if loaded is not None:
                 chunks, recovered = loaded
         else:
             store.clear()  # a fresh run never trusts stale leftovers
     if chunks is None:
-        chunks = plan_chunks(
-            trials, plan_jobs, interval if checkpointing else None
-        )
+        chunks = plan_chunks(trials, plan_jobs, interval)
         if store is not None and trials > 0:
             store.begin(trials, chunks)
 
@@ -192,12 +185,13 @@ def run_trials(
             # and still replay every recovered trial into the trace
             obs_enabled=obs.enabled or checkpointing,
             profiling=obs.enabled and obs.profiling,
-            lanes=lanes,
+            lanes=execution.lanes,
             tracing=obs.enabled and obs.tracing,
             trace_ctx=obs.trace_ctx,
         )
         executor = select_backend(
-            jobs, len(missing), capture=checkpointing, backend=backend
+            execution.jobs, len(missing), capture=checkpointing,
+            backend=execution.backend,
         )
         for payload in executor.run(ctx, missing):
             if store is not None:

@@ -20,21 +20,11 @@ Besides the experiment harnesses, the CLI wires the observability layer
 * ``obs-timeline PATH`` reports worker utilization from a traced run and
   exports Chrome (Perfetto-loadable) and OTLP-shaped JSON timelines.
 
-``--jobs N`` fans every campaign's trials over N worker processes
-(deterministic: results are bit-identical to serial; see
-docs/performance.md).  ``--lanes N`` batches N trials into each
-lane-vectorized pass through the application — also bit-identical, and
-freely combined with ``--jobs``.  ``--checkpoint-every N`` makes campaign progress
-durable every N trials, and ``--resume`` restarts an interrupted run
-from its last checkpoint (see docs/engine.md).  ``--ci-halfwidth H``
-turns every campaign adaptive: ``--trials`` becomes a cap and each
-deployment stops as soon as its outcome rates reach the requested 95%
-Wilson half-width (see docs/adaptive.md).  ``--scenario NAME[:k=v,...]``
-selects the fault-scenario family injected per trial — ``bitflip`` (the
-default), ``rankkill``, or ``msgcorrupt`` (see docs/scenarios.md).
-``--backend SPEC`` pins where chunks execute — ``inline``, ``process``,
-or ``distributed:host:port``, a controller socket that ``repro-worker``
-processes connect to (see docs/distributed.md).
+The execution knobs — ``--jobs``, ``--lanes``, ``--checkpoint-every``,
+``--resume``, ``--ci-halfwidth``, ``--scenario`` and ``--backend`` — are
+generated from the table in :mod:`repro.fi.knobs` and relayed to every
+campaign through their ``REPRO_*`` environment variables (see the
+"Execution knobs" table in docs/engine.md).
 """
 
 from __future__ import annotations
@@ -46,6 +36,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS
 
 __all__ = ["main"]
@@ -251,6 +242,16 @@ def _obs_timeline(argv: list[str]) -> int:
     return 0
 
 
+def _port(value) -> int:
+    try:
+        port = int(value)
+    except ValueError:
+        raise ConfigurationError(f"port must be an integer, got {value!r}") from None
+    if not 0 <= port <= 65535:
+        raise ConfigurationError(f"port must be in [0, 65535], got {port}")
+    return port
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.experiments`` / ``repro-experiments``."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -262,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         return _obs_profile(argv[1:])
     if argv[:1] == ["obs-timeline"]:
         return _obs_timeline(argv[1:])
+
+    from repro.fi.knobs import KNOBS, env_value
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -281,50 +284,12 @@ def main(argv: list[str] | None = None) -> int:
              "the paper uses 4000)",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes per campaign (default: $REPRO_JOBS or 1). "
-             "Results are bit-identical for any N; see docs/performance.md",
-    )
-    parser.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="fault-injection trials batched per lane-vectorized pass "
-             "through the application (default: $REPRO_LANES or 1). "
-             "Results are bit-identical for any N; see docs/performance.md",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="persist campaign progress every N trials; an interrupted run "
-             "can then be resumed with --resume (see docs/engine.md)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume interrupted campaigns from their checkpoints, "
-             "re-running only the missing trials",
-    )
-    parser.add_argument(
-        "--ci-halfwidth", type=float, default=None, metavar="H",
-        help="adaptive precision target in (0, 0.5): stop each deployment "
-             "once every outcome rate's 95%% Wilson half-width is <= H, "
-             "with --trials as the cap (e.g. 0.05 for ±5 pp; see "
-             "docs/adaptive.md). Default: $REPRO_CI_HALFWIDTH or fixed-N",
-    )
-    parser.add_argument(
-        "--scenario", metavar="NAME[:k=v,...]", default=None,
-        help="fault-scenario family injected per trial: bitflip (default), "
-             "rankkill (fail-stop a rank; rank=R pins the victim), or "
-             "msgcorrupt (flip a bit in a message in transit; bit=B pins "
-             "the bit). See docs/scenarios.md. Default: $REPRO_SCENARIO "
-             "or bitflip",
-    )
-    parser.add_argument(
-        "--backend", metavar="SPEC", default=None,
-        help="execution backend for every campaign: inline, process, or "
-             "distributed:host:port (a controller socket that repro-worker "
-             "processes connect to; port 0 binds ephemerally — see "
-             "docs/distributed.md). Results are bit-identical across "
-             "backends. Default: $REPRO_BACKEND or auto-select from --jobs",
-    )
+    for knob in KNOBS:
+        parser.add_argument(
+            knob.flag, dest=knob.name, default=None, help=knob.help,
+            **({"action": "store_true"} if knob.metavar is None
+               else {"metavar": knob.metavar}),
+        )
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write a JSONL observability trace (replay with obs-report)",
@@ -363,82 +328,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.quiet and args.progress:
         parser.error("--progress and --quiet are mutually exclusive")
 
-    if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error(f"--jobs must be >= 1, got {args.jobs}")
-        # Campaigns resolve their worker count from $REPRO_JOBS (see
-        # repro.fi.campaign.default_jobs), so one env write reaches every
-        # deployment the experiment harnesses build.
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-
-    if args.lanes is not None:
-        if args.lanes < 1:
-            parser.error(f"--lanes must be >= 1, got {args.lanes}")
-        # Same env-var relay as --jobs: every campaign resolves its lane
-        # count via repro.fi.campaign.default_lanes.
-        os.environ["REPRO_LANES"] = str(args.lanes)
-
-    if args.checkpoint_every is not None:
-        if args.checkpoint_every < 1:
-            parser.error(
-                f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-            )
-        # Same env-var relay as --jobs: every campaign resolves its
-        # checkpoint interval via repro.fi.campaign.default_checkpoint_every.
-        os.environ["REPRO_CHECKPOINT_EVERY"] = str(args.checkpoint_every)
-    if args.resume:
-        os.environ["REPRO_RESUME"] = "1"
-
-    if args.ci_halfwidth is not None:
-        if not 0.0 < args.ci_halfwidth < 0.5:
-            parser.error(
-                f"--ci-halfwidth must be in (0, 0.5), got {args.ci_halfwidth}"
-            )
-        # Same env-var relay as --jobs: every deployment resolves its
-        # precision target via repro.fi.campaign.default_ci_halfwidth.
-        os.environ["REPRO_CI_HALFWIDTH"] = repr(args.ci_halfwidth)
-
-    if args.scenario is not None:
-        from repro.errors import ConfigurationError
-        from repro.fi.scenarios import canonical_scenario
-
+    # Campaigns resolve every knob they are not handed from its env var
+    # (repro.fi.knobs.resolve), so one env write per flag reaches every
+    # deployment the experiment harnesses build.  Values relay in
+    # canonical form; a canonical None (parameterless bit flips) relays
+    # as given, so --scenario bitflip still overrides an inherited
+    # $REPRO_SCENARIO.
+    for knob in KNOBS:
+        raw = getattr(args, knob.name)
+        if raw is None:
+            continue
         try:
-            canonical = canonical_scenario(args.scenario)
+            value = knob.parse(raw)
         except ConfigurationError as exc:
-            parser.error(str(exc))
-        # Same env-var relay as --jobs: every deployment resolves its
-        # fault family via repro.fi.campaign.default_scenario.  The
-        # canonical default (parameterless bit flips) relays as the
-        # explicit name so --scenario bitflip still overrides an
-        # inherited $REPRO_SCENARIO.
-        os.environ["REPRO_SCENARIO"] = canonical or "bitflip"
+            parser.error(f"{knob.flag}: {exc}")
+        os.environ[knob.env] = str(raw if value is None else value)
 
-    if args.backend is not None:
-        from repro.engine.backends import canonical_backend
-        from repro.errors import ConfigurationError
-
+    if args.serve_obs is None:
+        serve_port = env_value("REPRO_OBS_PORT", _port, None)
+    else:
         try:
-            canonical = canonical_backend(args.backend)
+            serve_port = _port(args.serve_obs)
         except ConfigurationError as exc:
-            parser.error(str(exc))
-        # Same env-var relay as --jobs: every deployment resolves its
-        # execution backend via repro.fi.campaign.default_backend.
-        os.environ["REPRO_BACKEND"] = canonical
-
-    serve_port = args.serve_obs
-    if serve_port is None:
-        raw = os.environ.get("REPRO_OBS_PORT")
-        if raw is not None and raw != "":
-            try:
-                serve_port = int(raw)
-            except ValueError:
-                print(
-                    f"repro: warning: malformed REPRO_OBS_PORT={raw!r}; "
-                    f"telemetry server disabled",
-                    file=sys.stderr,
-                )
-    if serve_port is not None and not 0 <= serve_port <= 65535:
-        parser.error(f"--serve-obs port must be in [0, 65535], got {serve_port}")
+            parser.error(f"--serve-obs {exc}")
 
     recorder = previous = None
     server = None

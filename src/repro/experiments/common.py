@@ -6,9 +6,6 @@ construction, and assembly of :class:`PredictionInputs` for an app.
 
 from __future__ import annotations
 
-import os
-import sys
-
 from repro.apps import get_app
 from repro.apps.base import AppSpec
 from repro.fi.cache import (
@@ -17,6 +14,7 @@ from repro.fi.cache import (
     store_unique_fraction,
 )
 from repro.fi.campaign import CampaignResult, Deployment
+from repro.fi.knobs import env_value, positive_int
 from repro.fi.tracer import Tracer, TracerMode
 from repro.model.predictor import PredictionInputs, ResiliencePredictor
 from repro.model.result import FaultInjectionResult
@@ -52,26 +50,19 @@ def default_trials(trials: int | None = None) -> int:
     """
     if trials is not None:
         return trials
-    raw = os.environ.get("REPRO_TRIALS", "300")
-    try:
-        return int(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_TRIALS={raw!r}; "
-            f"using the default of 300 trials",
-            file=sys.stderr,
-        )
-        return 300
+    return env_value("REPRO_TRIALS", positive_int("trials"), 300)
 
 
 # ----------------------------------------------------------------------
 # campaign builders (all cached)
+#
+# ``**knobs`` are the Deployment knob fields (jobs, lanes,
+# checkpoint_every, ci_halfwidth, scenario, backend; see
+# repro.fi.knobs), carried on every deployment a builder constructs.
 # ----------------------------------------------------------------------
 def serial_sample_results(
     app: AppSpec, target_nprocs: int, n_samples: int, trials: int, seed: int = 0,
-    jobs: int | None = None, checkpoint_every: int | None = None,
-    ci_halfwidth: float | None = None, scenario: str | None = None,
-    backend: str | None = None,
+    **knobs,
 ) -> dict[int, FaultInjectionResult]:
     """FI_ser_x at the sample plan's cases (multi-error serial runs)."""
     plan = SerialSamplePlan(large_nprocs=target_nprocs, n_samples=n_samples)
@@ -79,56 +70,40 @@ def serial_sample_results(
     for x in plan.sample_cases:
         dep = Deployment(
             nprocs=1, trials=trials, n_errors=x, region=Region.COMMON,
-            seed=seed + _SEED_SERIAL + x, jobs=jobs,
-            checkpoint_every=checkpoint_every, ci_halfwidth=ci_halfwidth,
-            scenario=scenario, backend=backend,
+            seed=seed + _SEED_SERIAL + x, **knobs,
         )
         out[x] = FaultInjectionResult.from_campaign(cached_campaign(app, dep))
     return out
 
 
 def small_campaign(
-    app: AppSpec, nprocs: int, trials: int, seed: int = 0,
-    jobs: int | None = None, checkpoint_every: int | None = None,
-    ci_halfwidth: float | None = None, scenario: str | None = None,
-    backend: str | None = None,
+    app: AppSpec, nprocs: int, trials: int, seed: int = 0, **knobs
 ) -> CampaignResult:
     """Single-error campaign at a small scale (propagation + alpha input)."""
     dep = Deployment(
-        nprocs=nprocs, trials=trials, seed=seed + _SEED_SMALL + nprocs,
-        jobs=jobs, checkpoint_every=checkpoint_every,
-        ci_halfwidth=ci_halfwidth, scenario=scenario, backend=backend,
+        nprocs=nprocs, trials=trials, seed=seed + _SEED_SMALL + nprocs, **knobs
     )
     return cached_campaign(app, dep)
 
 
 def measured_campaign(
-    app: AppSpec, nprocs: int, trials: int, seed: int = 0,
-    jobs: int | None = None, checkpoint_every: int | None = None,
-    ci_halfwidth: float | None = None, scenario: str | None = None,
-    backend: str | None = None,
+    app: AppSpec, nprocs: int, trials: int, seed: int = 0, **knobs
 ) -> CampaignResult:
     """Ground-truth campaign at the target scale (for accuracy figures)."""
     dep = Deployment(
         nprocs=nprocs, trials=trials, seed=seed + _SEED_MEASURED + nprocs,
-        jobs=jobs, checkpoint_every=checkpoint_every,
-        ci_halfwidth=ci_halfwidth, scenario=scenario, backend=backend,
+        **knobs,
     )
     return cached_campaign(app, dep)
 
 
 def unique_campaign(
-    app: AppSpec, nprocs: int, trials: int, seed: int = 0,
-    jobs: int | None = None, checkpoint_every: int | None = None,
-    ci_halfwidth: float | None = None, scenario: str | None = None,
-    backend: str | None = None,
+    app: AppSpec, nprocs: int, trials: int, seed: int = 0, **knobs
 ) -> CampaignResult:
     """Campaign with every error forced into the parallel-unique region."""
     dep = Deployment(
         nprocs=nprocs, trials=trials, region=Region.PARALLEL_UNIQUE,
-        seed=seed + _SEED_UNIQUE + nprocs, jobs=jobs,
-        checkpoint_every=checkpoint_every, ci_halfwidth=ci_halfwidth,
-        scenario=scenario, backend=backend,
+        seed=seed + _SEED_UNIQUE + nprocs, **knobs,
     )
     return cached_campaign(app, dep)
 
@@ -180,10 +155,7 @@ def build_predictor(
     n_samples: int | None = None,
     prob2_mode: str = "profile",
     unique_threshold: float = 0.02,
-    jobs: int | None = None,
-    checkpoint_every: int | None = None,
-    ci_halfwidth: float | None = None,
-    backend: str | None = None,
+    **knobs,
 ) -> ResiliencePredictor:
     """Assemble every model input for ``app_name`` and return a predictor.
 
@@ -193,6 +165,7 @@ def build_predictor(
       * ``"extrapolate"`` — fit the shares measured at small scales
         against log2(p) (no run at the target scale at all).
 
+    ``**knobs`` (see the campaign builders) reach every deployment;
     ``ci_halfwidth`` plans the whole sampling sweep — every serial
     multi-error case x = 1 … p plus the small-scale campaigns — as one
     precision budget: each deployment keeps ``trials`` as its cap but
@@ -205,20 +178,12 @@ def build_predictor(
     n_samples = n_samples or small_nprocs
 
     serial = serial_sample_results(
-        app, target_nprocs, n_samples, trials, seed, jobs=jobs,
-        checkpoint_every=checkpoint_every, ci_halfwidth=ci_halfwidth,
-        backend=backend,
+        app, target_nprocs, n_samples, trials, seed, **knobs
     )
-    small = small_campaign(
-        app, small_nprocs, trials, seed, jobs=jobs,
-        checkpoint_every=checkpoint_every, ci_halfwidth=ci_halfwidth,
-        backend=backend,
-    )
+    small = small_campaign(app, small_nprocs, trials, seed, **knobs)
     probe_dep = Deployment(
         nprocs=1, trials=trials, n_errors=small_nprocs, region=Region.COMMON,
-        seed=seed + _SEED_SERIAL + small_nprocs, jobs=jobs,
-        checkpoint_every=checkpoint_every, ci_halfwidth=ci_halfwidth,
-        backend=backend,
+        seed=seed + _SEED_SERIAL + small_nprocs, **knobs,
     )
     probe = FaultInjectionResult.from_campaign(cached_campaign(app, probe_dep))
 
@@ -235,11 +200,7 @@ def build_predictor(
     unique_result = None
     if fractions[small_nprocs] > 0.0 and max(fractions.values()) >= unique_threshold:
         unique_result = FaultInjectionResult.from_campaign(
-            unique_campaign(
-                app, small_nprocs, trials, seed, jobs=jobs,
-                checkpoint_every=checkpoint_every, ci_halfwidth=ci_halfwidth,
-                backend=backend,
-            )
+            unique_campaign(app, small_nprocs, trials, seed, **knobs)
         )
 
     inputs = PredictionInputs(

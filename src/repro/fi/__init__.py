@@ -16,6 +16,9 @@ The package implements the paper's fault-injection methodology (§2):
 * :mod:`repro.fi.campaign` — fault-injection *deployments*: many trials
   with a fixed configuration, aggregated into rates and propagation
   histograms.
+* :mod:`repro.fi.knobs` — the execution-knob table (jobs, lanes,
+  checkpointing, precision target, scenario, backend) and its
+  arg > field > env > default resolution.
 """
 
 from repro.fi.profile import InstructionProfile

@@ -18,9 +18,11 @@ Set ``REPRO_CACHE=0`` to disable, e.g. while modifying the substrate.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,9 +31,8 @@ from repro.fi.campaign import (
     CampaignResult,
     Deployment,
     run_campaign,
-    with_resolved_ci,
-    with_resolved_scenario,
 )
+from repro.fi.knobs import resolve
 from repro.fi.outcomes import Outcome
 from repro.obs import CacheCorrupt, CacheHit, CacheMiss, CacheWrite, get_recorder
 
@@ -40,7 +41,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "cached_campaign", "cache_dir", "cache_enabled", "deployment_key",
-    "load_unique_fraction", "load_unique_fraction_stats",
+    "load_unique_fraction_stats",
     "store_unique_fraction",
 ]
 
@@ -57,34 +58,34 @@ def cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
 
 
+#: Identity fields of :class:`Deployment`, in key-string order.
+_KEY_FIELDS = sorted(
+    (f for f in fields(Deployment) if "key" in f.metadata),
+    key=lambda f: f.metadata["key_order"],
+)
+
+
 def deployment_key(deployment: Deployment) -> str:
     """Stable identity string for a deployment's *result*.
 
-    Execution knobs that cannot change the outcome — ``jobs``,
-    ``lanes``, ``checkpoint_every`` — are deliberately excluded: the
-    same string
-    keys both the result cache and the engine's checkpoint store
-    (:mod:`repro.engine.checkpoint`), so a campaign interrupted under
-    one worker count can resume under another.
+    Derived from the field metadata of :class:`Deployment`: one
+    ``tag=value`` per identity field, in key order, with fields marked
+    ``omit_default`` left out while at their default (so keys that
+    predate such a field stay valid).  Execution knobs — ``jobs``,
+    ``lanes``, ``checkpoint_every``, ``backend`` — carry no tag: the
+    same string keys both the result cache and the engine's checkpoint
+    store (:mod:`repro.engine.checkpoint`), so a campaign interrupted
+    under one worker count can resume under another.
     """
-    key = (
-        f"p={deployment.nprocs},t={deployment.trials},e={deployment.n_errors},"
-        f"r={deployment.region.value if deployment.region else None},"
-        f"tr={deployment.target_rank},s={deployment.seed}"
-    )
-    if deployment.bits_per_error != 1:  # appended only when set: keeps
-        key += f",b={deployment.bits_per_error}"  # single-bit keys stable
-    if deployment.max_steps is not None:  # same trick: the runaway guard
-        key += f",ms={deployment.max_steps}"  # changes outcomes when set
-    if deployment.ci_halfwidth is not None:  # adaptive stopping changes
-        key += f",ci={deployment.ci_halfwidth!r}"  # the executed trial set
-    if deployment.scenario is not None:  # non-default fault family: the
-        key += f",sc={deployment.scenario}"  # canonical default is None
-    return key
-
-
-#: Backwards-compatible alias (the helper predates the public name).
-_deployment_key = deployment_key
+    parts = []
+    for f in _KEY_FIELDS:
+        value = getattr(deployment, f.name)
+        if f.metadata["omit_default"] and value == f.default:
+            continue
+        if isinstance(value, enum.Enum):
+            value = value.value
+        parts.append(f"{f.metadata['key']}={value}")
+    return ",".join(parts)
 
 
 def _store() -> "ResultStore":
@@ -157,23 +158,6 @@ def _read_fractions(store: "ResultStore") -> dict:
     return blob if isinstance(blob, dict) else {}
 
 
-def load_unique_fraction(app: AppProtocol, nprocs: int) -> float | None:
-    """Disk-cached parallel-unique fraction for ``(app, nprocs)``, if any.
-
-    Target-scale profiling runs (p=64/128) are the costliest fault-free
-    executions of the pipeline; persisting their one-number result means
-    a fresh process never redoes them.  Accepts both the legacy bare
-    float entries and the current ``{"fraction", "candidates"}`` records.
-    """
-    stats = load_unique_fraction_stats(app, nprocs)
-    if stats is not None:
-        return stats[0]
-    if not cache_enabled():
-        return None
-    value = _read_fractions(_store()).get(_fraction_key(app, nprocs))
-    return float(value) if isinstance(value, (int, float)) else None
-
-
 def load_unique_fraction_stats(
     app: AppProtocol, nprocs: int
 ) -> tuple[float, int] | None:
@@ -217,10 +201,13 @@ def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
     """
     # pin the effective precision target and fault scenario before
     # keying: both change what the trials execute, so they must never
-    # share a cache entry (or checkpoint identity) with other settings
-    deployment = with_resolved_scenario(with_resolved_ci(deployment))
+    # share a cache entry (or checkpoint identity) with other settings.
+    # The resolved execution knobs are handed on as arguments, so
+    # run_campaign does not read their env vars a second time.
+    deployment, execution = resolve(deployment)
+    knobs = vars(execution)
     if not cache_enabled():
-        return run_campaign(app, deployment)
+        return run_campaign(app, deployment, **knobs)
     obs = get_recorder()
     store = _store()
     key = _cache_key(app, deployment)
@@ -250,7 +237,7 @@ def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
     if obs.enabled:
         obs.counter("cache.misses")
         obs.emit(CacheMiss(path=path))
-    result = run_campaign(app, deployment)
+    result = run_campaign(app, deployment, **knobs)
     payload = json.dumps(_serialize(result))
     size = store.put(key, payload.encode())
     if obs.enabled:

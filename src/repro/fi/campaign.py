@@ -11,16 +11,16 @@ raw material for every model input and every figure of the paper.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Generator, Protocol
 
 from repro.errors import ConfigurationError
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.fi.profile import InstructionProfile
-from repro.fi.scenarios import canonical_scenario, resolve_model
+from repro.fi.knobs import KNOBS, resolve
+from repro.fi.scenarios import resolve_model
 from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.obs import (
@@ -41,165 +41,25 @@ from repro.utils.validation import check_positive_int
 
 __all__ = [
     "Deployment", "CampaignResult", "run_campaign", "run_one_trial",
-    "default_jobs", "default_lanes", "default_checkpoint_every",
-    "default_resume", "default_ci_halfwidth", "default_scenario",
-    "default_backend",
-    "with_resolved_ci", "with_resolved_scenario",
     "AppProtocol",
 ]
 
 
-def default_jobs() -> int:
-    """Worker processes per campaign: ``$REPRO_JOBS``, falling back to 1.
+def _key(tag: str, order: int, default=MISSING, *, omit_default: bool = False):
+    """A result-identity field: ``tag=value`` in ``deployment_key``.
 
-    1 means the classic in-process serial loop.  Any value produces a
-    bit-identical ``joint`` distribution (see :mod:`repro.engine`), so
-    this only trades wall-clock for cores.
+    ``order`` places the tag in the key string; ``omit_default`` leaves
+    the tag out while the field holds its default, so keys that predate
+    the field stay byte-identical (see :func:`repro.fi.cache.deployment_key`).
     """
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
+    return field(default=default, metadata={
+        "key": tag, "key_order": order, "omit_default": omit_default,
+    })
 
 
-def default_lanes() -> int:
-    """Shadow-execution lanes per pass: ``$REPRO_LANES``, falling back to 1.
-
-    1 means the classic one-trial-per-execution loop.  Any value
-    produces bit-identical records, events, and provenance (see
-    ``docs/performance.md``), so — like ``jobs`` — this only trades
-    wall-clock for memory.  A malformed or non-positive value warns once
-    on stderr and leaves lane batching off rather than aborting an
-    otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_LANES")
-    if raw is None or raw == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_LANES={raw!r}; "
-            f"lane batching disabled",
-            file=sys.stderr,
-        )
-        return 1
-    if value < 1:
-        print(
-            f"repro: warning: REPRO_LANES={value} is not positive; "
-            f"lane batching disabled",
-            file=sys.stderr,
-        )
-        return 1
-    return value
-
-
-def default_checkpoint_every() -> int | None:
-    """Checkpoint interval: ``$REPRO_CHECKPOINT_EVERY`` trials, else off.
-
-    None disables checkpointing (the classic fire-and-forget campaign).
-    A malformed or non-positive value warns once on stderr and leaves
-    checkpointing off rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_CHECKPOINT_EVERY")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_CHECKPOINT_EVERY={raw!r}; "
-            f"checkpointing disabled",
-            file=sys.stderr,
-        )
-        return None
-    if value < 1:
-        print(
-            f"repro: warning: REPRO_CHECKPOINT_EVERY={value} is not "
-            f"positive; checkpointing disabled",
-            file=sys.stderr,
-        )
-        return None
-    return value
-
-
-def default_resume() -> bool:
-    """Resume from checkpoints by default? (``$REPRO_RESUME``, off unless set)."""
-    return os.environ.get("REPRO_RESUME", "0").lower() not in ("0", "", "false", "no")
-
-
-def default_ci_halfwidth() -> float | None:
-    """Adaptive precision target: ``$REPRO_CI_HALFWIDTH``, else fixed-N.
-
-    None keeps the classic fixed-trial-count campaign.  A malformed or
-    out-of-range value warns once on stderr and leaves adaptive stopping
-    off rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_CI_HALFWIDTH")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_CI_HALFWIDTH={raw!r}; "
-            f"adaptive stopping disabled",
-            file=sys.stderr,
-        )
-        return None
-    if not 0.0 < value < 0.5:
-        print(
-            f"repro: warning: REPRO_CI_HALFWIDTH={value} outside (0, 0.5); "
-            f"adaptive stopping disabled",
-            file=sys.stderr,
-        )
-        return None
-    return value
-
-
-def default_scenario() -> str | None:
-    """Fault-scenario family: ``$REPRO_SCENARIO``, falling back to bit flips.
-
-    None means the classic transient bit-flip pipeline.  Specs are
-    ``name[:k=v,...]`` (see :mod:`repro.fi.scenarios`); a malformed or
-    unknown spec warns once on stderr and leaves the default family in
-    place rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_SCENARIO")
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return canonical_scenario(raw)
-    except ConfigurationError as exc:
-        print(
-            f"repro: warning: ignoring REPRO_SCENARIO={raw!r}: {exc}",
-            file=sys.stderr,
-        )
-        return None
-
-
-def default_backend() -> str | None:
-    """Execution backend: ``$REPRO_BACKEND``, falling back to auto-select.
-
-    None lets :func:`~repro.engine.core.select_backend` pick from
-    ``jobs`` (the classic heuristic).  Specs are ``inline``, ``process``,
-    or ``distributed:host:port`` (see :mod:`repro.engine.distributed`);
-    a malformed spec warns once on stderr and leaves auto-selection in
-    place rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_BACKEND")
-    if raw is None or raw.strip() == "":
-        return None
-    from repro.engine.backends import canonical_backend  # circular at import
-
-    try:
-        return canonical_backend(raw)
-    except ConfigurationError as exc:
-        print(
-            f"repro: warning: ignoring REPRO_BACKEND={raw!r}: {exc}",
-            file=sys.stderr,
-        )
-        return None
+#: An execution knob (a row of :data:`repro.fi.knobs.KNOBS`): never part
+#: of the result identity.  None defers to the knob's env var/default.
+_EXECUTION = {"execution": True}
 
 
 class AppProtocol(Protocol):
@@ -222,61 +82,48 @@ class AppProtocol(Protocol):
 
 @dataclass(frozen=True)
 class Deployment:
-    """One fault-injection configuration (paper: 'fault injection deployment')."""
+    """One fault-injection configuration (paper: 'fault injection deployment').
 
-    nprocs: int
-    trials: int
-    n_errors: int = 1
-    region: Region | None = None        # None = sample by candidate share
-    target_rank: int | None = None      # None = uniform victim per test
-    seed: int = 0
-    max_steps: int | None = None        # scheduler runaway guard
-    bits_per_error: int = 1             # >1 = multi-bit fault pattern
-    jobs: int | None = None             # worker processes; None = $REPRO_JOBS
-    lanes: int | None = None            # trials batched per execution pass;
-                                        # None = $REPRO_LANES
-    checkpoint_every: int | None = None  # trials per durable checkpoint;
-                                         # None = $REPRO_CHECKPOINT_EVERY
-    ci_halfwidth: float | None = None   # adaptive precision target; None =
-                                        # $REPRO_CI_HALFWIDTH, else fixed-N
-    scenario: str | None = None         # fault-scenario spec (see
-                                        # repro.fi.scenarios); None =
-                                        # $REPRO_SCENARIO, else bit flips
-    backend: str | None = None          # execution backend spec (inline /
-                                        # process / distributed:host:port);
-                                        # None = $REPRO_BACKEND, else
-                                        # auto-select from jobs
+    Every field is either part of the result identity (tagged for
+    :func:`repro.fi.cache.deployment_key`) or an execution knob (a row
+    of :data:`repro.fi.knobs.KNOBS`, validated and canonicalized by its
+    row's parser).  ``ci_halfwidth`` and ``scenario`` are both: knobs
+    that change which trials run or what each trial does.
+    """
+
+    nprocs: int = _key("p", 0)
+    trials: int = _key("t", 1)
+    n_errors: int = _key("e", 2, 1)
+    region: Region | None = _key("r", 3, None)  # None = by candidate share
+    target_rank: int | None = _key("tr", 4, None)  # None = uniform victim
+    seed: int = _key("s", 5, 0)
+    # scheduler runaway guard
+    max_steps: int | None = _key("ms", 7, None, omit_default=True)
+    # >1 = multi-bit fault pattern
+    bits_per_error: int = _key("b", 6, 1, omit_default=True)
+    jobs: int | None = field(default=None, metadata=_EXECUTION)
+    lanes: int | None = field(default=None, metadata=_EXECUTION)
+    checkpoint_every: int | None = field(default=None, metadata=_EXECUTION)
+    ci_halfwidth: float | None = _key("ci", 8, None, omit_default=True)
+    scenario: str | None = _key("sc", 9, None, omit_default=True)
+    backend: str | None = field(default=None, metadata=_EXECUTION)
 
     def __post_init__(self) -> None:
         check_positive_int(self.nprocs, "nprocs")
         check_positive_int(self.trials, "trials")
         check_positive_int(self.n_errors, "n_errors")
         check_positive_int(self.bits_per_error, "bits_per_error")
-        if self.jobs is not None:
-            check_positive_int(self.jobs, "jobs")
-        if self.lanes is not None:
-            check_positive_int(self.lanes, "lanes")
-        if self.checkpoint_every is not None:
-            check_positive_int(self.checkpoint_every, "checkpoint_every")
-        if self.ci_halfwidth is not None and not 0.0 < self.ci_halfwidth < 0.5:
-            raise ConfigurationError(
-                f"ci_halfwidth must be in (0, 0.5), got {self.ci_halfwidth}"
-            )
         if self.n_errors > 1 and self.target_rank is None and self.nprocs > 1:
             raise ConfigurationError(
                 "multi-error deployments on parallel executions must pin target_rank"
             )
-        if self.scenario is not None:
-            # validate and canonicalize eagerly (parameterless bit flips
-            # normalize to None) so equal configurations compare equal
-            # and derive identical cache/checkpoint identities
-            object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
-        if self.backend is not None:
-            # validate eagerly so a bad spec fails at construction, not
-            # mid-campaign; lazy import — the engine imports this module
-            from repro.engine.backends import canonical_backend
-
-            object.__setattr__(self, "backend", canonical_backend(self.backend))
+        for knob in KNOBS:
+            value = getattr(self, knob.name, None)
+            if value is not None:
+                # canonicalize eagerly (parameterless bit flips normalize
+                # to None) so equal configurations compare equal and
+                # derive identical cache/checkpoint identities
+                object.__setattr__(self, knob.name, knob.parse(value))
 
     @property
     def effective_target_rank(self) -> int | None:
@@ -385,99 +232,6 @@ def run_one_trial(
     return model.run_trial(app, deployment, profile, reference, trial, obs)
 
 
-def _resolve_jobs(jobs: int | None, deployment: Deployment) -> int:
-    """Worker count precedence: call arg > ``Deployment.jobs`` > env."""
-    if jobs is None:
-        jobs = deployment.jobs
-    if jobs is None:
-        return default_jobs()
-    return check_positive_int(jobs, "jobs")
-
-
-def _resolve_lanes(lanes: int | None, deployment: Deployment) -> int:
-    """Lane count precedence: call arg > ``Deployment.lanes`` > env."""
-    if lanes is None:
-        lanes = deployment.lanes
-    if lanes is None:
-        return default_lanes()
-    return check_positive_int(lanes, "lanes")
-
-
-def _resolve_checkpoint_every(
-    checkpoint_every: int | None, deployment: Deployment
-) -> int | None:
-    """Checkpoint interval precedence: call arg > deployment > env > off."""
-    if checkpoint_every is None:
-        checkpoint_every = deployment.checkpoint_every
-    if checkpoint_every is None:
-        return default_checkpoint_every()
-    return check_positive_int(checkpoint_every, "checkpoint_every")
-
-
-def _resolve_backend(backend: str | None, deployment: Deployment) -> str | None:
-    """Backend spec precedence: call arg > ``Deployment.backend`` > env.
-
-    Purely an execution knob — like ``jobs`` it never changes results,
-    so (unlike the precision target and the scenario) it stays out of
-    cache keys and checkpoint identities.
-    """
-    if backend is not None:
-        from repro.engine.backends import canonical_backend
-
-        return canonical_backend(backend)
-    if deployment.backend is not None:
-        return deployment.backend  # canonicalized at construction
-    return default_backend()
-
-
-def with_resolved_ci(
-    deployment: Deployment, ci_halfwidth: float | None = None
-) -> Deployment:
-    """Materialize the effective precision target into the deployment.
-
-    Precedence: call arg > ``Deployment.ci_halfwidth`` >
-    ``$REPRO_CI_HALFWIDTH`` > None (fixed-N).  Unlike execution knobs
-    (``jobs``, ``checkpoint_every``), the target *changes the executed
-    trial set*, so it must be pinned into the deployment before cache
-    keys or checkpoint identities are derived — both
-    :func:`run_campaign` and :func:`repro.fi.cache.cached_campaign`
-    resolve through here so the three always agree.
-    """
-    if ci_halfwidth is None:
-        ci_halfwidth = deployment.ci_halfwidth
-    if ci_halfwidth is None:
-        ci_halfwidth = default_ci_halfwidth()
-    if ci_halfwidth == deployment.ci_halfwidth:
-        return deployment
-    return replace(deployment, ci_halfwidth=ci_halfwidth)
-
-
-def with_resolved_scenario(
-    deployment: Deployment, scenario: str | None = None
-) -> Deployment:
-    """Materialize the effective fault scenario into the deployment.
-
-    Precedence: call arg > ``Deployment.scenario`` > ``$REPRO_SCENARIO``
-    > bit flips.  Like the precision target — and unlike pure execution
-    knobs — the scenario *changes what each trial does*, so it must be
-    pinned into the deployment before cache keys or checkpoint
-    identities are derived; both :func:`run_campaign` and
-    :func:`repro.fi.cache.cached_campaign` resolve through here.  The
-    canonical form of the parameterless default family is ``None``, so
-    deployments that never mention scenarios keep their pre-scenario
-    cache entries and checkpoint directories.
-    """
-    if scenario is not None:
-        scenario = canonical_scenario(scenario)
-    elif deployment.scenario is not None:
-        scenario = deployment.scenario
-    else:
-        scenario = default_scenario()
-    if scenario == deployment.scenario:
-        return deployment
-    return replace(deployment, scenario=scenario)
-
-
 def run_campaign(
     app: AppProtocol,
     deployment: Deployment,
@@ -533,23 +287,28 @@ def run_campaign(
     knob: results stay bit-identical across backends, worker counts and
     worker churn.
     """
-    deployment = with_resolved_scenario(
-        with_resolved_ci(deployment, ci_halfwidth), scenario
+    deployment, execution = resolve(
+        deployment, jobs=jobs, lanes=lanes, checkpoint_every=checkpoint_every,
+        resume=resume, ci_halfwidth=ci_halfwidth, scenario=scenario,
+        backend=backend,
     )
-    n_jobs = _resolve_jobs(jobs, deployment)
-    n_lanes = _resolve_lanes(lanes, deployment)
+    obs = get_recorder()
     model = resolve_model(deployment.scenario)
-    if n_lanes > 1 and not model.supports_lanes:
+    if execution.lanes > 1 and not model.supports_lanes:
         print(
             f"repro: warning: scenario {model.name!r} does not support "
             f"lane batching; running trials on the scalar path",
             file=sys.stderr,
         )
-        n_lanes = 1
-    ckpt_every = _resolve_checkpoint_every(checkpoint_every, deployment)
-    do_resume = default_resume() if resume is None else resume
-    backend_spec = _resolve_backend(backend, deployment)
-    obs = get_recorder()
+        execution = replace(execution, lanes=1)
+    if execution.lanes > 1 and obs.enabled and obs.profiling:
+        # profiling meters per-trial op counts and time, which a shared
+        # lane pass cannot attribute
+        execution = replace(execution, lanes=1)
+    if execution.resume and execution.checkpoint_every is None:
+        from repro.engine.checkpoint import DEFAULT_CHECKPOINT_EVERY
+
+        execution = replace(execution, checkpoint_every=DEFAULT_CHECKPOINT_EVERY)
     # the recorder accumulates across campaigns, so the profiler scopes
     # this campaign's span/op deltas (emitted as one CampaignProfile)
     prof_scope = (
@@ -604,20 +363,15 @@ def run_campaign(
                 from repro.engine.adaptive import run_adaptive_trials
 
                 joint, records = run_adaptive_trials(
-                    app, deployment, profile, reference,
-                    target=deployment.ci_halfwidth,
-                    keep_records=keep_records, jobs=n_jobs, lanes=n_lanes,
-                    checkpoint_every=ckpt_every, resume=do_resume,
-                    backend=backend_spec,
+                    app, deployment, profile, reference, execution,
+                    target=deployment.ci_halfwidth, keep_records=keep_records,
                 )
             else:
                 from repro.engine import run_trials
 
                 joint, records = run_trials(
-                    app, deployment, profile, reference,
-                    keep_records=keep_records, jobs=n_jobs, lanes=n_lanes,
-                    checkpoint_every=ckpt_every, resume=do_resume,
-                    backend=backend_spec,
+                    app, deployment, profile, reference, execution,
+                    keep_records=keep_records,
                 )
             injection_time = time.perf_counter() - t1
     finally:

@@ -257,22 +257,22 @@ class TestCache:
         assert len(list(tmp_cache.glob("*.json"))) == 2
 
     def test_max_steps_changes_the_key(self):
-        from repro.fi.cache import _deployment_key
+        from repro.fi.cache import deployment_key
 
         base = Deployment(nprocs=2, trials=10, seed=0)
         guarded = Deployment(nprocs=2, trials=10, seed=0, max_steps=500)
-        assert _deployment_key(base) != _deployment_key(guarded)
+        assert deployment_key(base) != deployment_key(guarded)
         # ... but keys without the guard keep their historical form, so
         # entries cached before the field existed are still served
-        assert ",ms=" not in _deployment_key(base)
-        assert _deployment_key(guarded).endswith(",ms=500")
+        assert ",ms=" not in deployment_key(base)
+        assert deployment_key(guarded).endswith(",ms=500")
 
     def test_jobs_not_part_of_the_key(self):
-        from repro.fi.cache import _deployment_key
+        from repro.fi.cache import deployment_key
 
         a = Deployment(nprocs=2, trials=10, seed=0, jobs=4)
         b = Deployment(nprocs=2, trials=10, seed=0, jobs=1)
-        assert _deployment_key(a) == _deployment_key(b)
+        assert deployment_key(a) == deployment_key(b)
 
     def test_multibit_pattern_has_its_own_entry(self, tmp_cache):
         app = TinyApp()

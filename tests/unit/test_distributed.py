@@ -59,12 +59,8 @@ from repro.errors import (
     DistributedProtocolError,
     WorkerCrashError,
 )
-from repro.fi.campaign import (
-    Deployment,
-    Outcome,
-    default_backend,
-    run_campaign,
-)
+from repro.fi.campaign import Deployment, Outcome, run_campaign
+from repro.fi.knobs import resolve
 from repro.obs.provenance import provenance_path
 from repro.obs.report import worker_summary
 
@@ -338,25 +334,14 @@ class TestBackendSpec:
             Deployment(nprocs=2, trials=4, backend="warp-drive")
 
     def test_env_default_and_malformed_warning(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend() is None
-        monkeypatch.setenv("REPRO_BACKEND", "pool")
-        assert default_backend() == "process"
-        monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
-        assert default_backend() is None
-        assert "REPRO_BACKEND" in capsys.readouterr().err
-
-    def test_precedence_arg_over_field_over_env(self, monkeypatch):
-        from repro.fi.campaign import _resolve_backend
-
-        monkeypatch.setenv("REPRO_BACKEND", "process")
         plain = Deployment(nprocs=1, trials=2)
-        field = Deployment(nprocs=1, trials=2, backend="inline")
-        assert _resolve_backend(None, plain) == "process"       # env
-        assert _resolve_backend(None, field) == "inline"        # field
-        assert _resolve_backend("pool", field) == "process"     # arg
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert _resolve_backend(None, plain) is None
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert resolve(plain)[1].backend is None
+        monkeypatch.setenv("REPRO_BACKEND", "pool")
+        assert resolve(plain)[1].backend == "process"
+        monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
+        assert resolve(plain)[1].backend is None
+        assert "REPRO_BACKEND" in capsys.readouterr().err
 
     def test_cli_flag_sets_env_for_experiments(self, monkeypatch):
         import repro.experiments.cli as cli

@@ -111,6 +111,16 @@ class TestDocsReferenceRealCode:
         ).read_text()
         assert "docs/distributed.md" in (ROOT / "README.md").read_text()
 
+    def test_engine_doc_tables_every_execution_knob(self):
+        from repro.fi.knobs import KNOBS
+
+        text = (ROOT / "docs" / "engine.md").read_text()
+        section = text.split("## Execution knobs", 1)[1].split("\n## ", 1)[0]
+        for knob in KNOBS:
+            assert f"`{knob.flag}" in section, knob.flag
+            assert f"`{knob.env}`" in section, knob.env
+        assert "docs/engine.md#execution-knobs" in (ROOT / "README.md").read_text()
+
     def test_documented_cli_flags_exist(self):
         """Flags and subcommands the docs advertise must parse."""
         import io

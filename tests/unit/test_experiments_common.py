@@ -14,7 +14,11 @@ from repro.experiments.common import (
     unique_campaign,
     unique_fraction,
 )
-from repro.fi.cache import cache_dir, load_unique_fraction, store_unique_fraction
+from repro.fi.cache import (
+    cache_dir,
+    load_unique_fraction_stats,
+    store_unique_fraction,
+)
 from repro.model.predictor import extrapolate_unique_fraction
 from repro.taint.region import Region
 
@@ -73,6 +77,19 @@ class TestCampaignBuilders:
         app = get_app("cg")
         res = unique_campaign(app, 2, TRIALS, seed=0)
         assert res.deployment.region is Region.PARALLEL_UNIQUE
+
+    def test_build_predictor_threads_lanes(self, monkeypatch):
+        # lanes reach every deployment the predictor builds and, as an
+        # execution knob, change none of its inputs or predictions
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        scalar = build_predictor("mg", 2, 4, trials=TRIALS, lanes=1)
+        batched = build_predictor("mg", 2, 4, trials=TRIALS, lanes=4)
+        assert batched.inputs.small_campaign.deployment.lanes == 4
+        assert batched.inputs.small_campaign.joint == scalar.inputs.small_campaign.joint
+        for name in ("serial_samples", "unique_result", "unique_fractions",
+                     "serial_probe"):
+            assert getattr(batched.inputs, name) == getattr(scalar.inputs, name)
+        assert batched.predict(4) == scalar.predict(4)
 
     def test_unique_fraction_monotone_for_cg(self):
         app = get_app("cg")
@@ -140,7 +157,7 @@ class TestFractionPersistence:
         monkeypatch.setenv("REPRO_CACHE", "0")
         app = get_app("cg")
         unique_fraction(app, 2)
-        assert load_unique_fraction(app, 2) is None
+        assert load_unique_fraction_stats(app, 2) is None
         assert not (cache_dir() / "unique_fractions.json").exists()
 
 

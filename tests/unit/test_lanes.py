@@ -18,12 +18,8 @@ import pytest
 import repro.fi.lanes as lanes_mod
 from repro import get_app, obs
 from repro.fi.cache import deployment_key
-from repro.fi.campaign import (
-    Deployment,
-    _resolve_lanes,
-    default_lanes,
-    run_campaign,
-)
+from repro.fi.campaign import Deployment, run_campaign
+from repro.fi.knobs import resolve
 from repro.fi.lanes import BatchTracer
 from repro.fi.plan import InjectionPlan, PlannedFlip
 from repro.mpisim.collectives import reduce_payloads
@@ -313,21 +309,13 @@ class TestEjection:
 
 
 class TestLanesKnob:
-    def test_precedence_arg_over_field_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "16")
-        assert default_lanes() == 16
-        dep_plain = Deployment(nprocs=1, trials=1)
-        dep_field = Deployment(nprocs=1, trials=1, lanes=4)
-        assert _resolve_lanes(None, dep_plain) == 16  # env fallback
-        assert _resolve_lanes(None, dep_field) == 4   # field beats env
-        assert _resolve_lanes(2, dep_field) == 2      # arg beats field
-
     def test_malformed_env_falls_back_to_one(self, monkeypatch, capsys):
+        dep = Deployment(nprocs=1, trials=1)
         monkeypatch.setenv("REPRO_LANES", "many")
-        assert default_lanes() == 1
+        assert resolve(dep)[1].lanes == 1
         assert "REPRO_LANES" in capsys.readouterr().err
         monkeypatch.setenv("REPRO_LANES", "0")
-        assert default_lanes() == 1
+        assert resolve(dep)[1].lanes == 1
 
     def test_cache_key_excludes_lanes(self):
         dep = Deployment(nprocs=2, trials=10, seed=5)

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.fi.cache import cached_campaign
-from repro.fi.campaign import Deployment, default_jobs, run_campaign
+from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
 from repro.engine import MAX_CHUNK_TRIALS, chunk_bounds
 
@@ -102,15 +102,18 @@ class TestChunking:
 
 
 class TestJobsResolution:
-    def test_default_jobs_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-
-    def test_default_jobs_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() == 1
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert default_jobs() == 1
+    def test_default_jobs_fallback(self, monkeypatch, capsys):
+        # a malformed or non-positive $REPRO_JOBS warns (like every
+        # other knob) and runs serially instead of coercing silently
+        serial = run_campaign(ParityApp(), Deployment(nprocs=1, trials=4, seed=3))
+        capsys.readouterr()
+        for raw in ("abc", "0"):
+            monkeypatch.setenv("REPRO_JOBS", raw)
+            got = run_campaign(ParityApp(), Deployment(nprocs=1, trials=4, seed=3))
+            err = capsys.readouterr().err
+            assert "REPRO_JOBS" in err and repr(raw) in err
+            assert err.count("\n") == 1  # exactly one warning line
+            assert got.joint == serial.joint
 
     def test_deployment_validates_jobs(self):
         with pytest.raises(ConfigurationError):
