@@ -74,17 +74,30 @@ def _label(value: str) -> str:
     return f'"{escaped}"'
 
 
+def _live_state(recorder: Recorder) -> tuple[dict, ...]:
+    """Copies of what a scrape renders: counters, gauges, histogram
+    stats, span totals and profile rows.  Histograms are read as their
+    ``(count, sum, min, max)`` summaries, so a scrape's cost does not
+    grow with the number of samples observed."""
+    return (
+        _copy_racing(recorder.counters),
+        _copy_racing(recorder.gauges),
+        _copy_racing(recorder.histogram_stats),
+        _copy_racing(recorder.span_totals, list),
+        _copy_racing(recorder.profile, list),
+    )
+
+
 def render_prometheus(
     recorder: Recorder, eta_s: float | None = None
 ) -> str:
     """One Prometheus text-exposition page for a recorder's live state."""
-    snap = recorder.snapshot()
-    gauges = _copy_racing(recorder.gauges)
+    counters, gauges, stats, span_totals, profile = _live_state(recorder)
     lines: list[str] = []
-    for name in sorted(snap.counters):
+    for name in sorted(counters):
         metric = _metric_name(name) + "_total"
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {snap.counters[name]:g}")
+        lines.append(f"{metric} {counters[name]:g}")
     for name in sorted(gauges):
         metric = _metric_name(name)
         lines.append(f"# TYPE {metric} gauge")
@@ -92,27 +105,27 @@ def render_prometheus(
     if eta_s is not None:
         lines.append("# TYPE repro_campaign_eta_seconds gauge")
         lines.append(f"repro_campaign_eta_seconds {eta_s:g}")
-    for name in sorted(snap.histograms):
+    for name in sorted(stats):
         metric = _metric_name(name)
-        values = snap.histograms[name]
+        count, total, lo, hi = stats[name]
         lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {len(values)}")
-        lines.append(f"{metric}_sum {sum(values):g}")
-        if values:
-            lines.append(f"{metric}_min {min(values):g}")
-            lines.append(f"{metric}_max {max(values):g}")
-    if snap.span_totals:
+        lines.append(f"{metric}_count {count}")
+        lines.append(f"{metric}_sum {total:g}")
+        if count:
+            lines.append(f"{metric}_min {lo:g}")
+            lines.append(f"{metric}_max {hi:g}")
+    if span_totals:
         lines.append("# TYPE repro_span_seconds_total counter")
         lines.append("# TYPE repro_span_count_total counter")
-        for path in sorted(snap.span_totals):
-            count, seconds = snap.span_totals[path]
+        for path in sorted(span_totals):
+            count, seconds = span_totals[path]
             label = f"{{path={_label(path)}}}"
             lines.append(f"repro_span_seconds_total{label} {seconds:g}")
             lines.append(f"repro_span_count_total{label} {int(count)}")
-    if snap.profile:
+    if profile:
         lines.append("# TYPE repro_profile_ops_total counter")
         lines.append("# TYPE repro_profile_seconds_total counter")
-        for row in profile_rows(snap.profile):
+        for row in profile_rows(profile):
             label = (
                 f"{{phase={_label(row['phase'])},op={_label(row['kind'])},"
                 f"rank=\"{row['rank']}\"}}"
@@ -128,24 +141,19 @@ def render_metrics_json(
     recorder: Recorder, eta_s: float | None = None
 ) -> str:
     """The same live state as one JSON object (``/metrics?format=json``)."""
-    snap = recorder.snapshot()
+    counters, gauges, stats, span_totals, profile = _live_state(recorder)
     blob = {
-        "counters": dict(snap.counters),
-        "gauges": _copy_racing(recorder.gauges),
+        "counters": counters,
+        "gauges": gauges,
         "histograms": {
-            name: {
-                "count": len(values),
-                "sum": sum(values),
-                "min": min(values) if values else None,
-                "max": max(values) if values else None,
-            }
-            for name, values in snap.histograms.items()
+            name: {"count": count, "sum": total, "min": lo, "max": hi}
+            for name, (count, total, lo, hi) in stats.items()
         },
         "spans": {
             path: {"count": int(count), "seconds": seconds}
-            for path, (count, seconds) in snap.span_totals.items()
+            for path, (count, seconds) in span_totals.items()
         },
-        "profile": profile_rows(snap.profile),
+        "profile": profile_rows(profile),
         "eta_seconds": eta_s,
     }
     return json.dumps(blob, sort_keys=True) + "\n"

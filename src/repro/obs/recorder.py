@@ -29,7 +29,9 @@ Metrics model
   ``campaign.trials_done``), the live-telemetry view of "where is the
   run right now";
 * **histograms** — lists of observed samples
-  (``taint.contamination_spread``, ``scheduler.blocked_ranks``);
+  (``taint.contamination_spread``, ``scheduler.blocked_ranks``), with a
+  ``(count, sum, min, max)`` summary per name folded in step
+  (:attr:`Recorder.histogram_stats`) for views that need no quantiles;
 * **spans** — nested wall-clock phases.  ``span("campaign")`` /
   ``span("trial")`` / ``span("inject")`` nest into slash-joined paths
   (``campaign/trial/inject``); each close accumulates (count, total
@@ -47,7 +49,9 @@ The live telemetry server (:mod:`repro.obs.live`) reads a recorder from
 its own thread while a campaign writes.  The hot path stays lock-free;
 :meth:`snapshot` instead retries the rare ``RuntimeError`` CPython
 raises when a dict or deque is resized mid-copy, so readers always get
-a consistent-enough copy without the writers paying anything.
+a consistent-enough copy without the writers paying anything.  Live
+scrapes read :attr:`Recorder.histogram_stats`, one tuple per name, so
+their cost does not grow with the number of samples observed.
 """
 
 from __future__ import annotations
@@ -64,6 +68,22 @@ __all__ = [
     "ObsSnapshot", "Recorder", "get_recorder", "set_recorder", "recording",
     "reset",
 ]
+
+
+#: ``(count, sum, min, max)`` of a histogram with no samples yet.
+_EMPTY_STATS: tuple = (0, 0, None, None)
+
+
+def _fold(stats: tuple, value: float) -> tuple:
+    """``stats`` with one more sample; the same figures as ``len``,
+    ``sum``, ``min`` and ``max`` over the samples in order."""
+    count, total, lo, hi = stats
+    return (
+        count + 1,
+        total + value,
+        value if lo is None or value < lo else lo,
+        value if hi is None or value > hi else hi,
+    )
 
 
 def _copy_racing(mapping: dict, value_copy: Callable | None = None) -> dict:
@@ -162,6 +182,10 @@ class Recorder:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, list[float]] = {}
+        #: histogram name -> ``(count, sum, min, max)``, kept in step
+        #: with ``histograms``.  Each update stores a new tuple, so a
+        #: reader on another thread never sees a half-applied sample.
+        self.histogram_stats: dict[str, tuple] = {}
         #: span path -> [count, total_seconds]
         self.span_totals: dict[str, list[float]] = {}
         #: (path, op kind, rank) -> [ops, calls, seconds]
@@ -193,6 +217,9 @@ class Recorder:
         if not self.enabled:
             return
         self.histograms.setdefault(name, []).append(value)
+        self.histogram_stats[name] = _fold(
+            self.histogram_stats.get(name, _EMPTY_STATS), value
+        )
 
     # ------------------------------------------------------------------
     # hot-path profiling
@@ -323,6 +350,10 @@ class Recorder:
             self.counters[name] = self.counters.get(name, 0) + value
         for name, values in snapshot.histograms.items():
             self.histograms.setdefault(name, []).extend(values)
+            stats = self.histogram_stats.get(name, _EMPTY_STATS)
+            for value in values:
+                stats = _fold(stats, value)
+            self.histogram_stats[name] = stats
         for path, (count, total) in snapshot.span_totals.items():
             agg = self.span_totals.setdefault(path, [0, 0.0])
             agg[0] += count

@@ -49,6 +49,20 @@ class TestRecorder:
         rec.observe("h", 3)
         assert rec.histograms == {"h": [1, 3]}
 
+    def test_histogram_stats_match_samples_through_absorb(self):
+        worker = obs.Recorder(enabled=True)
+        for value in (0.1, -2.5, 7, 0.2):
+            worker.observe("h", value)
+        parent = obs.Recorder(enabled=True)
+        parent.observe("h", 3)
+        parent.absorb(worker.snapshot())
+        parent.absorb(obs.ObsSnapshot(histograms={"empty": []}))
+        for name, values in parent.histograms.items():
+            expected = (len(values), sum(values),
+                        min(values, default=None), max(values, default=None))
+            assert parent.histogram_stats[name] == expected
+        assert set(parent.histogram_stats) == {"h", "empty"}
+
     def test_span_nesting_builds_paths(self):
         clock = FakeClock()
         rec = obs.Recorder(enabled=True, clock=clock)
